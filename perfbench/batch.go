@@ -177,13 +177,15 @@ func batch(cfg config, specs []runSpec) (*outcome, error) {
 	if err := layerMetrics(m, delta, fold, len(traced)*len(specs), float64(busy.Nanoseconds()), cfg.seed); err != nil {
 		return nil, err
 	}
+	runMs := map[string]float64{}
 	for _, s := range specs {
 		var ms []float64
 		for _, p := range traced {
 			ms = append(ms, p.runMs[s.exp])
 		}
-		m["workload.run_ms."+s.exp] = median(ms)
+		runMs[s.exp] = median(ms)
 	}
+	o.detail["workload_run_ms_p50"] = runMs
 	m["bench.trace_overhead_pct"] = 100 * (medianNsPerOp(traced)/medianNsPerOp(plain) - 1)
 	o.detail["passes_untraced"], o.detail["passes_traced"] = len(plain), len(traced)
 	o.detail["fold_pct"] = fold

@@ -450,7 +450,7 @@ func fleetOpen(cfg config) (*outcome, error) {
 		if err != nil {
 			return nil, err
 		}
-		keptUp(res)
+		o.detail["gen_late_ms_p99"] = keptUp(res)
 		o.metrics["sim_ops_per_s"] = float64(ops) / st.WallS
 		o.metrics["req_ms_p50"], o.metrics["req_ms_p99"] = st.P50, st.P99
 		// Bisect between the fixed rate and searchCeil; if every rung
@@ -522,7 +522,7 @@ func fleetOpen(cfg config) (*outcome, error) {
 	if err := layerMetrics(m, delta, fold, len(traced), busyMs*1e6, cfg.seed); err != nil {
 		return nil, err
 	}
-	m["service.queue_ms_p50"], m["service.handler_ms_p50"], m["service.client_ms_p50"] = median(queue), median(handler), median(client)
+	o.detail["service_ms_p50"] = map[string]float64{"queue": median(queue), "handler": median(handler), "client": median(client)}
 	m["service.errors"], m["service.queue_full"] = float64(sd.Errors), float64(sd.QueueFull)
 	m["sim.forks"] = float64(sd.ForksServed) / float64(max(len(traced), 1))
 	m["sim.cold_boots"], m["sim.templates"] = float64(sd.ColdBoots), float64(s1.ForkTemplates)
@@ -532,7 +532,7 @@ func fleetOpen(cfg config) (*outcome, error) {
 			plainHandler = append(plainHandler, r.handlerMs)
 		}
 	}
-	m["gen.late_ms_p99"] = keptUp(append(plain, traced...))
+	o.detail["gen_late_ms_p99"] = keptUp(append(plain, traced...))
 	m["bench.trace_overhead_pct"] = 100 * (median(handler)/median(plainHandler) - 1)
 	o.detail["phases"], o.detail["fold_pct"] = phases, fold
 	return o, nil

@@ -21,8 +21,11 @@ import (
 )
 
 // perLayer lists every metric a traced run reports, with its unit, in
-// the order BENCHMARK.json declares them. A workload that does not
-// exercise a layer reports 0 for it: that layer "should not move" there.
+// the order BENCHMARK.json declares them. Every timing here is measured
+// on every workload; a count or share for a layer a workload does not
+// exercise is 0 there (that layer "should not move" on it). Timings
+// only one kind of workload has (per-experiment run times, the service
+// latency split, generator lateness) go to the record line instead.
 var perLayer = []struct{ name, unit string }{
 	{"cpu.chain_pct", "%"}, {"cpu.ichain_pct", "%"}, {"cpu.blocks_per_op", "count/op"}, {"cpu.self_pct", "%"},
 	{"mm.self_pct", "%"},
@@ -34,11 +37,9 @@ var perLayer = []struct{ name, unit string }{
 	{"kernel.modules_loaded", "count/run"}, {"kernel.self_pct", "%"},
 	{"sim.boot_ms", "ms"}, {"sim.snapshot_ms", "ms"}, {"sim.fork_us", "us"}, {"sim.release_us", "us"},
 	{"sim.forks", "count/run"}, {"sim.cold_boots", "count"}, {"sim.templates", "count"}, {"sim.self_pct", "%"},
-	{"workload.run_ms.fig5b", "ms"}, {"workload.run_ms.fig7", "ms"}, {"workload.run_ms.fig8", "ms"},
-	{"workload.run_ms.server", "ms"}, {"workload.self_pct", "%"},
-	{"service.queue_ms_p50", "ms"}, {"service.handler_ms_p50", "ms"}, {"service.client_ms_p50", "ms"},
+	{"workload.self_pct", "%"},
 	{"service.errors", "count"}, {"service.queue_full", "count"}, {"service.self_pct", "%"},
-	{"obs.self_pct", "%"}, {"runtime.gc_pct", "%"}, {"bench.trace_overhead_pct", "%"}, {"gen.late_ms_p99", "ms"},
+	{"obs.self_pct", "%"}, {"runtime.gc_pct", "%"}, {"bench.trace_overhead_pct", "%"},
 }
 
 // foldedLayers are the packages whose CPU-profile self time becomes a
