@@ -13,28 +13,25 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"adelie/internal/service"
 )
 
 // The fleet_open workload: Poisson arrivals from independent users
-// (an open loop) against an in-process daemon over loopback HTTP.
+// (an open loop) against an in-process daemon over loopback HTTP, then
+// nproc closed-loop callers that keep every pool slot busy.
 const (
-	fixedRPS = 100 // the fixed offered rate req_ms_p50/p99 are measured at
-	sloP90Ms = 40  // max_rps SLO: p90 from due time
-	// genLateMs is half the mean gap between arrivals at fixedRPS: when
-	// the median request is dispatched later than this after its due
-	// time, the generator has fallen behind the schedule it offers.
+	fixedRPS = 60 // the fixed offered rate of the open-loop phase
+	sloP90Ms = 40 // SLO on the fixed-rate phase: p90 from due time
+	// genLateMs is about a third of the mean gap between arrivals at
+	// fixedRPS: when the median request is dispatched later than this
+	// after its due time, the generator has fallen behind its schedule.
 	genLateMs = 5
-)
-
-// max_rps bisects the offered rate between the fixed rate, which must
-// pass, and searchCeil, which must fail on the measured code (so
-// max_rps is never pinned at a ceiling), in searchSteps rungs.
-const (
-	searchCeil  = 480
-	searchSteps = 5
+	// rateBlock is how many completions each block of the closed-loop
+	// phase's throughput median spans.
+	rateBlock = 100
 )
 
 // fleetMix is the request mix, all at quick scale with service times
@@ -263,15 +260,7 @@ func stats(rate float64, d time.Duration, res []reqResult) phaseStats {
 		dispatched, done = append(dispatched, r.dispatched), append(done, r.done)
 		s.WallS = max(s.WallS, r.done.Seconds())
 	}
-	// P50 is the median of the p50s of the phase's thirds (requests are
-	// in due order), so a host stall confined to a few seconds moves at
-	// most one of them.
-	var thirds [3][]float64
-	for i, l := range lat {
-		thirds[3*i/len(lat)] = append(thirds[3*i/len(lat)], l)
-	}
-	s.P50 = median([]float64{percentile(thirds[0], 50), percentile(thirds[1], 50), percentile(thirds[2], 50)})
-	s.P90, s.P99, s.LateP99 = percentile(lat, 90), percentile(lat, 99), percentile(late, 99)
+	s.P50, s.P90, s.P99, s.LateP99 = percentile(lat, 50), percentile(lat, 90), percentile(lat, 99), percentile(late, 99)
 	s.Backlog = backlogHalves(dispatched, done, d)
 	s.Growing = s.Backlog[1] > 2*s.Backlog[0]+2
 	s.Pass = s.Failed == 0 && s.P90 <= sloP90Ms && !s.Growing
@@ -302,66 +291,59 @@ func backlogHalves(dispatched, done []time.Duration, d time.Duration) [2]float64
 	return [2]float64{sum[0] / float64(max(n[0], 1)), sum[1] / float64(max(n[1], 1))}
 }
 
-// maxRPS is the offered rate at which p90 crosses the SLO. The rungs'
-// p90s, ordered by rate from the origin (0 rps, 0 ms), are made
-// non-decreasing by pooling adjacent violators, so every rung near the
-// knee contributes, and the crossing is interpolated linearly between
-// the two fitted points around it. A rung that failed on errors or
-// backlog growth counts as far above the SLO. The second result is
-// false when no rung failed the SLO: capacity was not bracketed.
-func maxRPS(rungs []phaseStats) (float64, bool) {
-	const failedMs = 1e9
-	rs := append([]phaseStats(nil), rungs...)
-	sort.Slice(rs, func(i, j int) bool { return rs[i].Rate < rs[j].Rate })
-	rate, y := []float64{0}, []float64{0}
-	for _, r := range rs {
-		rate = append(rate, r.Rate)
-		if r.Failed > 0 || r.Growing {
-			y = append(y, failedMs)
-		} else {
-			y = append(y, r.P90)
-		}
+// saturate runs f.senders closed-loop clients for d. Each sends its next
+// request, the next shape of a seed-shuffled even deal, as soon as its
+// previous reply arrives. At most nproc requests are then in flight, one
+// per pool slot, so the daemon runs flat out and no request queues for a
+// slot. Times are since the phase start; due is when the request was sent.
+func (f *fleet) saturate(cfg config, d time.Duration) []reqResult {
+	order := make([]int, 64*len(f.shapes))
+	for i := range order {
+		order[i] = i % len(f.shapes)
 	}
-	// Pool adjacent violators: blocks of equal fitted value, each the
-	// mean of the points it covers.
-	type block struct {
-		sum float64
-		n   int
-	}
-	var blocks []block
-	for _, v := range y {
-		blocks = append(blocks, block{v, 1})
-		for len(blocks) > 1 {
-			a, b := blocks[len(blocks)-2], blocks[len(blocks)-1]
-			if a.sum/float64(a.n) <= b.sum/float64(b.n) {
-				break
+	cfg.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	var next atomic.Int64
+	per := make([][]reqResult, f.senders)
+	var wg sync.WaitGroup
+	start := time.Now()
+	for w := range per {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for time.Since(start) < d {
+				r := reqResult{shape: order[int(next.Add(1)-1)%len(order)], due: time.Since(start)}
+				r.dispatched = r.due
+				f.send(start, &r)
+				per[w] = append(per[w], r)
 			}
-			blocks = append(blocks[:len(blocks)-2], block{a.sum + b.sum, a.n + b.n})
-		}
+		}()
 	}
-	fit := make([]float64, 0, len(y))
-	for _, b := range blocks {
-		for i := 0; i < b.n; i++ {
-			fit = append(fit, b.sum/float64(b.n))
-		}
+	wg.Wait()
+	var res []reqResult
+	for _, p := range per {
+		res = append(res, p...)
 	}
-	for i := 1; i < len(fit); i++ {
-		if fit[i] > sloP90Ms {
-			return rate[i-1] + (rate[i]-rate[i-1])*(sloP90Ms-fit[i-1])/(fit[i]-fit[i-1]), true
-		}
-	}
-	return rate[len(rate)-1], false
+	return res
 }
 
-// rung offers rate for d and counts its requests.
-func (f *fleet) rung(cfg config, o *outcome, rate float64, d time.Duration) phaseStats {
-	arr := f.schedule(cfg, rate, d)
-	runtime.GC()
-	_, res := f.phase(arr)
-	for _, r := range res {
-		o.count(r)
+// throughput is the median, over consecutive blocks of rateBlock
+// completions, of each block's completion rate: a stall confined to a
+// few blocks moves it little. With fewer than two blocks it is the
+// overall rate.
+func throughput(done []time.Duration) float64 {
+	t := append([]time.Duration(nil), done...)
+	sort.Slice(t, func(i, j int) bool { return t[i] < t[j] })
+	if len(t) < 2*rateBlock+1 {
+		if len(t) < 2 {
+			return 0
+		}
+		return float64(len(t)-1) / (t[len(t)-1] - t[0]).Seconds()
 	}
-	return stats(rate, d, res)
+	var rates []float64
+	for i := 0; i+rateBlock < len(t); i += rateBlock {
+		rates = append(rates, rateBlock/(t[i+rateBlock]-t[i]).Seconds())
+	}
+	return median(rates)
 }
 
 func (o *outcome) count(r reqResult) {
@@ -446,35 +428,29 @@ func fleetOpen(cfg config) (*outcome, error) {
 	}
 
 	if !cfg.traced {
-		st, res, ops, err := offer(cfg.window*6/10, nil)
+		st, res, ops, err := offer(cfg.window/2, nil)
 		if err != nil {
 			return nil, err
 		}
 		o.detail["gen_late_ms_p99"] = keptUp(res)
 		o.metrics["sim_ops_per_s"] = float64(ops) / st.WallS
-		o.metrics["req_ms_p50"], o.metrics["req_ms_p99"] = st.P50, st.P99
-		// Bisect between the fixed rate and searchCeil; if every rung
-		// passes, the ceiling itself is offered last.
-		rungs := []phaseStats{st}
-		lo, hi := float64(fixedRPS), float64(searchCeil)
-		for i := 0; st.Pass && i <= searchSteps; i++ {
-			rate := (lo + hi) / 2
-			if i == searchSteps {
-				if hi < searchCeil {
-					break
-				}
-				rate = hi
-			}
-			rs := f.rung(cfg, o, rate, cfg.window*2/25)
-			if rungs = append(rungs, rs); rs.Pass {
-				lo = rate
+		runtime.GC()
+		sat := f.saturate(cfg, cfg.window/2)
+		var lat []float64
+		var doneAt []time.Duration
+		for _, r := range sat {
+			o.count(r)
+			doneAt = append(doneAt, r.done)
+			if r.ok {
+				lat = append(lat, ms(r.done-r.sent))
 			} else {
-				hi = rate
+				lat = append(lat, math.MaxFloat64) // a failed request misses every latency limit
 			}
 		}
-		var bracketed bool
-		o.metrics["max_rps"], bracketed = maxRPS(rungs)
-		o.detail["phases"], o.detail["capacity_bracketed"] = rungs, bracketed
+		o.metrics["max_rps"] = throughput(doneAt)
+		o.metrics["req_ms_p50"], o.metrics["req_ms_p99"] = percentile(lat, 50), percentile(lat, 99)
+		o.detail["fixed_rate"] = st
+		o.detail["saturated"] = map[string]float64{"n": float64(len(sat)), "p90_ms": percentile(lat, 90)}
 		return o, nil
 	}
 

@@ -219,3 +219,14 @@ func percentile(xs []float64, p float64) float64 {
 	i := int(math.Ceil(p/100*float64(len(s)))) - 1
 	return s[max(i, 0)]
 }
+
+// medianOfParts is the median, over n consecutive parts of xs (fewer
+// when xs is shorter), of each part's nearest-rank p-th percentile.
+func medianOfParts(xs []float64, n int, p float64) float64 {
+	n = min(n, max(len(xs), 1))
+	var ps []float64
+	for i := 0; i < n; i++ {
+		ps = append(ps, percentile(xs[i*len(xs)/n:(i+1)*len(xs)/n], p))
+	}
+	return median(ps)
+}

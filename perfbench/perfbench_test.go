@@ -8,31 +8,38 @@ import (
 	"time"
 )
 
-func TestMaxRPS(t *testing.T) {
-	cases := []struct {
-		name      string
-		rungs     []phaseStats
-		want      float64
-		bracketed bool
-	}{
-		{"interpolates the crossing", []phaseStats{
-			{Rate: 100, P90: 10}, {Rate: 300, P90: 100}, {Rate: 200, P90: 20},
-		}, 225, true},
-		{"pools a non-monotone pair", []phaseStats{
-			{Rate: 100, P90: 10}, {Rate: 200, P90: 36}, {Rate: 220, P90: 28}, {Rate: 240, P90: 72},
-		}, 220 + 20*(40-32)/(72-32.0), true},
-		{"errors count as far above the SLO", []phaseStats{
-			{Rate: 100, P90: 10}, {Rate: 200, P90: 12, Failed: 1},
-		}, 100 + 100*(40-10)/(1e9-10), true},
-		{"unbracketed capacity reports the top rate", []phaseStats{
-			{Rate: 100, P90: 10}, {Rate: 480, P90: 30},
-		}, 480, false},
+func TestMedianOfParts(t *testing.T) {
+	// One stall (90) lands in one of five parts; the median of the
+	// parts' maxima is the typical part's slowest run.
+	xs := []float64{10, 11, 12, 10, 13, 11, 90, 10, 12, 11}
+	if got := medianOfParts(xs, 5, 100); got != 12 {
+		t.Errorf("median of part maxima = %v, want 12", got)
 	}
-	for _, c := range cases {
-		got, bracketed := maxRPS(c.rungs)
-		if math.Abs(got-c.want) > 1e-9 || bracketed != c.bracketed {
-			t.Errorf("%s: maxRPS = %v, %v; want %v, %v", c.name, got, bracketed, c.want, c.bracketed)
+	if got := medianOfParts(xs, 2, 50); got != 11 {
+		t.Errorf("median of half medians = %v, want 11", got)
+	}
+	if got := medianOfParts([]float64{3, 1, 2}, 5, 100); got != 2 {
+		t.Errorf("median of part maxima of a short series = %v, want its median 2", got)
+	}
+}
+
+func TestThroughput(t *testing.T) {
+	// 1000 completions every 2 ms (500/s), with one 1 s stall midway:
+	// the overall rate falls by a third, the block median does not move.
+	var done []time.Duration
+	at := time.Duration(0)
+	for i := 0; i < 1000; i++ {
+		if i == 500 {
+			at += time.Second
 		}
+		at += 2 * time.Millisecond
+		done = append(done, at)
+	}
+	if got := throughput(done); math.Abs(got-500) > 1e-6 {
+		t.Errorf("throughput = %v, want 500", got)
+	}
+	if got := throughput(done[:50]); math.Abs(got-500) > 1e-6 {
+		t.Errorf("throughput of a short phase = %v, want 500", got)
 	}
 }
 
