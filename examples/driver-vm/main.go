@@ -50,6 +50,9 @@ func main() {
 	// ---- Application VM frontend: paravirt I/O rides the wire. ----
 	// The app VM never maps driver memory; it exchanges frames with the
 	// driver VM through the virtual NIC pair (dvm.Peer is its viewpoint).
+	// A ringless adapter only counts what it receives unless asked to
+	// keep copies: opt in so the frontend can inspect its queue.
+	dvm.Peer.SetHostRxCap(1024)
 	buf, err := dvm.K.Kmalloc(2048)
 	if err != nil {
 		log.Fatal(err)

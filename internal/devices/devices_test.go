@@ -6,7 +6,7 @@ import (
 	"adelie/internal/mm"
 )
 
-func testAS(t *testing.T) (*mm.AddressSpace, uint64) {
+func testAS(t testing.TB) (*mm.AddressSpace, uint64) {
 	t.Helper()
 	as := mm.NewAddressSpace(mm.NewPhysMem())
 	base := mm.KernelBase + 0x100000
@@ -121,7 +121,7 @@ func TestNVMeIgnoresDoorbellWithoutQueues(t *testing.T) {
 	}
 }
 
-func setupNICPair(t *testing.T) (*mm.AddressSpace, *NIC, *NIC, uint64) {
+func setupNICPair(t testing.TB) (*mm.AddressSpace, *NIC, *NIC, uint64) {
 	t.Helper()
 	as, base := testAS(t)
 	a, b := NewNIC(as), NewNIC(as)
@@ -142,6 +142,7 @@ func setupNICPair(t *testing.T) (*mm.AddressSpace, *NIC, *NIC, uint64) {
 
 func TestNICTransmitToPeer(t *testing.T) {
 	as, a, b, base := setupNICPair(t)
+	b.SetHostRxCap(4) // a ringless adapter stores frames only on request
 	payload := []byte("frame payload")
 	if err := as.WriteBytes(base+0x2000, payload); err != nil {
 		t.Fatal(err)

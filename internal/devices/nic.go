@@ -26,9 +26,19 @@ import (
 // a single-queue NIC is bit-identical to the pre-multi-queue one.
 // Frames delivered while no line is wired (or to the host-driven
 // load-generator side) never interrupt.
+//
+// DMA allocates nothing per frame: a doorbell snapshots the TX frame
+// into a buffer the adapter reuses, and delivery copies it into the
+// receiver's RX ring or, on a ringless adapter, only counts it.
 type NIC struct {
 	mu sync.Mutex
 	as *mm.AddressSpace
+
+	// txMu serializes doorbells, so the one reused TX snapshot buffer is
+	// never shared between concurrent transmits. It is taken before mu
+	// and held across delivery (which takes the receiver's mu).
+	txMu  sync.Mutex
+	txBuf []byte
 
 	// Name distinguishes multiple adapters on one bus ("nic0"/"nic1",
 	// the server/load-generator pair of Table 1).
@@ -42,18 +52,19 @@ type NIC struct {
 
 	peer *NIC // nil = loopback
 
-	// hostRx captures frames when no RX ring is programmed — the
-	// load-generator side of the wire, consumed by the host harness.
+	// hostRx captures copies of frames when no RX ring is programmed —
+	// the load-generator side of the wire — but only once SetHostRxCap
+	// opted in; by default a ringless adapter just counts what arrives.
 	// It is bounded by hostRxCap: the modeled load generator keeps up
 	// with the wire, so overflow frames count as consumed (HostConsumed)
 	// instead of accumulating, and long runs cannot wedge on a full
 	// host ring.
 	hostRx    [][]byte
-	hostRxCap int
+	hostRxCap int // 0 = count only, store nothing
 
 	TxFrames, RxFrames, TxBytes, RxBytes uint64
 	Dropped                              uint64
-	HostConsumed                         uint64 // load-generator frames consumed past the cap
+	HostConsumed                         uint64 // ringless-side frames counted but not stored
 	IRQsAsserted                         uint64
 }
 
@@ -106,14 +117,9 @@ const (
 // Descriptor layout (2 words): buffer VA, byte length. A zero length
 // marks a free RX descriptor.
 
-// DefaultHostRxCap bounds the host-side capture queue of a ringless
-// (load-generator) adapter.
-const DefaultHostRxCap = 1024
-
 // NewNIC creates a single-queue adapter DMA-attached to as.
 func NewNIC(as *mm.AddressSpace) *NIC {
-	return &NIC{as: as, Name: "nic", hostRxCap: DefaultHostRxCap,
-		queues: []*nicQueue{{coalesceFrames: 1}}}
+	return &NIC{as: as, Name: "nic", queues: []*nicQueue{{coalesceFrames: 1}}}
 }
 
 // DevName implements bus.Device.
@@ -186,16 +192,6 @@ func (n *NIC) QueueIRQLine(q int) int {
 	return n.queues[q].irq.Num()
 }
 
-// QueueRxFrames returns how many frames RSS steered into a queue.
-func (n *NIC) QueueRxFrames(q int) uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if q < 0 || q >= len(n.queues) {
-		return 0
-	}
-	return n.queues[q].RxFrames
-}
-
 // SetCoalescing configures interrupt moderation on every queue: a
 // queue's line asserts once maxFrames frames are pending on it, or —
 // checked at clock boundaries — once its oldest pending frame has
@@ -213,13 +209,17 @@ func (n *NIC) SetCoalescing(maxFrames, delayCycles uint64) {
 	}
 }
 
-// SetHostRxCap bounds the host-side capture queue (load-generator
-// receive path); frames past the cap are consumed, not stored.
+// SetHostRxCap opts a ringless adapter in to capturing copies of the
+// frames it receives, for TakeHostFrames. The queue is bounded by cap:
+// older frames past it count as consumed (HostConsumed), not stored.
+// cap <= 0 turns capture off again and counts the stored frames as
+// consumed.
 func (n *NIC) SetHostRxCap(cap int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if cap < 1 {
-		cap = 1
+	if cap <= 0 {
+		n.HostConsumed += uint64(len(n.hostRx))
+		n.hostRx, cap = nil, 0
 	}
 	n.hostRxCap = cap
 }
@@ -376,8 +376,12 @@ func (n *NIC) intCtlLocked(q *nicQueue, val uint64) {
 }
 
 // transmit sends the frame described by TX slot and delivers it to the
-// peer (or loops it back).
+// peer (or loops it back). The frame is snapshotted at doorbell time
+// into n.txBuf, which txMu keeps private to this doorbell until the
+// delivery has copied it out.
 func (n *NIC) transmit(slot uint64) {
+	n.txMu.Lock()
+	defer n.txMu.Unlock()
 	n.mu.Lock()
 	if n.txRing == 0 || n.ringLen == 0 {
 		n.mu.Unlock()
@@ -402,8 +406,11 @@ func (n *NIC) transmit(slot uint64) {
 		n.mu.Unlock()
 		return
 	}
-	frame, err := n.as.ReadBytes(buf, int(length))
-	if err != nil {
+	if uint64(cap(n.txBuf)) < length {
+		n.txBuf = make([]byte, length)
+	}
+	frame := n.txBuf[:length]
+	if err := n.as.ReadInto(frame, buf); err != nil {
 		n.Dropped++
 		n.mu.Unlock()
 		return
@@ -441,7 +448,8 @@ func rssHash(frame []byte) uint64 {
 
 // Deliver places a frame into the next free RX descriptor of the queue
 // its RSS hash selects — what the wire (or a host-side load generator)
-// does.
+// does. It does not retain frame: the bytes are copied into guest
+// memory, into the capture queue, or only counted.
 func (n *NIC) Deliver(frame []byte) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -451,19 +459,24 @@ func (n *NIC) Deliver(frame []byte) {
 	}
 	if q.rxRing == 0 || n.ringLen == 0 {
 		// No driver-owned ring: this adapter is host-driven (the load
-		// generator of Table 1); queue the frame for the harness. The
+		// generator of Table 1). It counts the frame and, only when
+		// capture was requested, queues a copy for the harness. The
 		// modeled generator keeps pace with the wire, so past the cap
 		// the oldest frames count as consumed rather than accumulating.
 		// Trimming waits until 2×cap so the compaction cost amortizes to
 		// O(1) per frame instead of an O(cap) memmove per delivery.
-		n.hostRx = append(n.hostRx, frame)
+		n.RxFrames++
+		n.RxBytes += uint64(len(frame))
+		if n.hostRxCap == 0 {
+			n.HostConsumed++
+			return
+		}
+		n.hostRx = append(n.hostRx, append([]byte(nil), frame...))
 		if len(n.hostRx) >= 2*n.hostRxCap {
 			over := len(n.hostRx) - n.hostRxCap
 			n.hostRx = append(n.hostRx[:0], n.hostRx[over:]...)
 			n.HostConsumed += uint64(over)
 		}
-		n.RxFrames++
-		n.RxBytes += uint64(len(frame))
 		return
 	}
 	desc := q.rxRing + (q.rxTail%n.ringLen)*16
@@ -498,7 +511,7 @@ func (n *NIC) Deliver(frame []byte) {
 }
 
 // TakeHostFrames drains the host-side capture queue (load-generator
-// receive path).
+// receive path). It is empty unless SetHostRxCap opted in to capture.
 func (n *NIC) TakeHostFrames() [][]byte {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -48,7 +48,10 @@ const (
 // dedicates slot smp_processor_id() to each vCPU, so commands from
 // different vCPUs never share an entry.
 
-// NVMe is the controller.
+// NVMe is the controller. Its DMA allocates nothing per command: reads
+// and writes stage through one reused buffer, and a write to an existing
+// block overwrites it in place (media is per controller; CloneFor
+// deep-copies it).
 //
 // It implements bus.EpochDevice (discovered by interface assertion when
 // the controller is attached): between BeginEpoch and EndEpoch
@@ -66,7 +69,8 @@ type NVMe struct {
 	sqHead         uint64
 	lastLatency    uint64
 
-	media     map[uint64][]byte // LBA → 512-byte block
+	media     map[uint64][]byte // LBA → 512-byte block, overwritten in place
+	dma       []byte            // DMA staging buffer reused across commands
 	cachedLBA map[uint64]bool   // controller DRAM cache contents
 	cacheFIFO []uint64          // insertion order, for deterministic eviction
 	cacheCap  int
@@ -200,6 +204,11 @@ func (d *NVMe) process(slot uint64) {
 		count = 1 << 20
 	}
 
+	if uint64(cap(d.dma)) < count {
+		d.dma = make([]byte, count)
+	}
+	data := d.dma[:count]
+
 	latency := uint64(NVMeMediaLatency)
 	switch op {
 	case NVMeCmdRead:
@@ -209,22 +218,28 @@ func (d *NVMe) process(slot uint64) {
 			latency = NVMeCacheLatency
 		}
 		d.touchCache(lba)
-		// DMA the block(s) into the host buffer.
-		data := make([]byte, count)
+		// DMA the block(s) into the host buffer; unwritten blocks read
+		// as zeros.
 		for i := uint64(0); i < count; i += 512 {
+			chunk := data[i:min(i+512, count)]
 			if blk, ok := d.media[lba+i/512]; ok {
-				copy(data[i:min64(i+512, count)], blk)
+				copy(chunk, blk)
+			} else {
+				clear(chunk)
 			}
 		}
 		_ = d.as.WriteBytesForce(buf, data)
 	case NVMeCmdWrite:
 		d.Writes++
-		data, err := d.as.ReadBytes(buf, int(count))
-		if err == nil {
+		if d.as.ReadInto(data, buf) == nil {
 			for i := uint64(0); i < count; i += 512 {
-				blk := make([]byte, 512)
-				copy(blk, data[i:min64(i+512, count)])
-				d.media[lba+i/512] = blk
+				blk, ok := d.media[lba+i/512]
+				if !ok {
+					blk = make([]byte, 512)
+					d.media[lba+i/512] = blk
+				}
+				n := copy(blk, data[i:min(i+512, count)])
+				clear(blk[n:]) // a short last chunk zero-fills the block's tail
 			}
 		}
 		d.touchCache(lba)
@@ -278,13 +293,6 @@ func (d *NVMe) insertCache(lba uint64) {
 	}
 	d.cachedLBA[lba] = true
 	d.cacheFIFO = append(d.cacheFIFO, lba)
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // ReadBlockDirect is a host-side helper mirroring what the driver's DMA

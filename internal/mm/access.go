@@ -5,22 +5,28 @@ import "encoding/binary"
 // ReadBytes copies n bytes starting at va into a fresh slice, honouring
 // page permissions and crossing page boundaries.
 func (as *AddressSpace) ReadBytes(va uint64, n int) ([]byte, error) {
-	out := make([]byte, 0, n)
-	for n > 0 {
-		frame, _, err := as.Translate(va, AccessRead)
-		if err != nil {
-			return nil, err
-		}
-		off := int(va & PageMask)
-		chunk := PageSize - off
-		if chunk > n {
-			chunk = n
-		}
-		out = append(out, as.phys.Frame(frame)[off:off+chunk]...)
-		va += uint64(chunk)
-		n -= chunk
+	out := make([]byte, n)
+	if err := as.ReadInto(out, va); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// ReadInto fills dst with the bytes starting at va, honouring page
+// permissions and crossing page boundaries, translating each page once.
+// It allocates nothing, so device DMA can snapshot guest memory into
+// buffers the device owns. On a fault dst may hold a partial copy.
+func (as *AddressSpace) ReadInto(dst []byte, va uint64) error {
+	for len(dst) > 0 {
+		frame, _, err := as.Translate(va, AccessRead)
+		if err != nil {
+			return err
+		}
+		n := copy(dst, as.phys.Frame(frame)[va&PageMask:])
+		va += uint64(n)
+		dst = dst[n:]
+	}
+	return nil
 }
 
 // WriteBytes stores b at va, honouring page permissions.
@@ -82,11 +88,11 @@ func (as *AddressSpace) Read64(va uint64) (uint64, error) {
 	if off+8 <= PageSize {
 		return binary.LittleEndian.Uint64(as.phys.Frame(frame)[off : off+8]), nil
 	}
-	b, err := as.ReadBytes(va, 8)
-	if err != nil {
+	var b [8]byte
+	if err := as.ReadInto(b[:], va); err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint64(b), nil
+	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
 // Write64 stores a 64-bit little-endian value. Stores to MMIO pages are
@@ -122,10 +128,12 @@ func (as *AddressSpace) Write64Force(va uint64, val uint64) error {
 }
 
 // Read64Force loads a 64-bit value requiring only that the page is mapped.
+// It reads through an on-stack buffer: device register and descriptor
+// fetches allocate nothing.
 func (as *AddressSpace) Read64Force(va uint64) (uint64, error) {
-	b, err := as.ReadBytes(va, 8)
-	if err != nil {
+	var b [8]byte
+	if err := as.ReadInto(b[:], va); err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint64(b), nil
+	return binary.LittleEndian.Uint64(b[:]), nil
 }

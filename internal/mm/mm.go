@@ -182,7 +182,10 @@ func (s *frameSlot) private() *frameData {
 // translation fast path (vCPUs running concurrently on host goroutines)
 // can index frames without taking the allocator lock. Alloc appends
 // under the lock, then republishes; readers always observe a prefix
-// that is fully initialized.
+// that is fully initialized. The append grows the backing array
+// geometrically and writes in place while capacity lasts: readers never
+// index past the length they loaded, and Fork copies the table to exact
+// length, so the spare capacity is never shared.
 type PhysMem struct {
 	mu    sync.Mutex
 	slots atomic.Pointer[[]*frameSlot]
@@ -241,14 +244,11 @@ func (p *PhysMem) Alloc() FrameID {
 		f.exec.Store(false)
 		return id
 	}
-	fs := p.table()
-	nfs := make([]*frameSlot, len(fs)+1)
-	copy(nfs, fs)
 	ns := &frameSlot{ctr: &p.detaches}
 	ns.fd.Store(newFrameData())
-	nfs[len(fs)] = ns
+	nfs := append(p.table(), ns)
 	p.slots.Store(&nfs)
-	return FrameID(len(fs))
+	return FrameID(len(nfs) - 1)
 }
 
 // AllocN allocates n zeroed frames.
@@ -408,6 +408,12 @@ type table struct {
 	used    int // number of non-nil entries, for table reclamation
 }
 
+// maxSpareNodes bounds an address space's list of reclaimed interior
+// nodes. Re-randomization maps each region at a fresh random base and
+// unmaps the old one, so the interior tables it frees are needed again
+// by the next move; a few dozen cover every module in flight.
+const maxSpareNodes = 64
+
 // AddressSpace is one virtual address space backed by 5-level page tables.
 // Mutating operations take the write lock; translations take the read
 // lock only, so concurrent vCPUs do not serialize on the page tables
@@ -418,6 +424,11 @@ type AddressSpace struct {
 	phys *PhysMem
 	mmio []mmioRegion
 	cow  bool // forked machine: translations resolve frames via slots
+
+	// spare holds interior nodes (a pte and its empty child table) that
+	// Unmap reclaimed; Map reuses them instead of allocating. Per address
+	// space and never copied by Fork.
+	spare []*pte
 
 	mapped     int           // currently mapped pages
 	gen        atomic.Uint64 // bumped on unmap/protect: TLB shootdown signal
@@ -504,7 +515,7 @@ func (as *AddressSpace) Map(va uint64, frame FrameID, flags PageFlags) error {
 	for i := 0; i < numLevels-1; i++ {
 		e := t.entries[ix[i]]
 		if e == nil {
-			e = &pte{child: &table{}}
+			e = as.interiorNode()
 			t.entries[ix[i]] = e
 			t.used++
 		}
@@ -520,6 +531,19 @@ func (as *AddressSpace) Map(va uint64, frame FrameID, flags PageFlags) error {
 		as.phys.MarkExec(frame)
 	}
 	return nil
+}
+
+// interiorNode returns an interior pte with an empty child table, reusing
+// one Unmap reclaimed when there is one. Caller holds as.mu.
+func (as *AddressSpace) interiorNode() *pte {
+	n := len(as.spare)
+	if n == 0 {
+		return &pte{child: &table{}}
+	}
+	e := as.spare[n-1]
+	as.spare[n-1] = nil
+	as.spare = as.spare[:n-1]
+	return e
 }
 
 // Unmap removes the translation for the page containing va and issues a
@@ -550,9 +574,12 @@ func (as *AddressSpace) Unmap(va uint64) (FrameID, error) {
 	t.entries[ix[numLevels-1]] = nil
 	t.used--
 	as.mapped--
-	// Reclaim now-empty interior tables, bottom-up.
+	// Reclaim now-empty interior tables, bottom-up, onto the spare list.
 	for i := numLevels - 2; i >= 0 && t.used == 0; i-- {
 		parent := path[i]
+		if len(as.spare) < maxSpareNodes {
+			as.spare = append(as.spare, parent.entries[ix[i]])
+		}
 		parent.entries[ix[i]] = nil
 		parent.used--
 		t = parent
@@ -774,19 +801,6 @@ func (as *AddressSpace) MapRegion(base uint64, npages int, flags PageFlags) ([]F
 		frames = append(frames, f)
 	}
 	return frames, nil
-}
-
-// MapFrames maps existing frames contiguously at base without allocating.
-func (as *AddressSpace) MapFrames(base uint64, frames []FrameID, flags PageFlags) error {
-	for i, f := range frames {
-		if err := as.Map(base+uint64(i)*PageSize, f, flags); err != nil {
-			for j := 0; j < i; j++ {
-				_, _ = as.Unmap(base + uint64(j)*PageSize)
-			}
-			return err
-		}
-	}
-	return nil
 }
 
 // RemapRegion implements the zero-copy move of Fig. 2a: it maps the frames

@@ -140,6 +140,25 @@ func TestParamsSetUnknownKeyErrors(t *testing.T) {
 	}
 }
 
+// TestServerZeroWorkersErrors: a server run with no lanes is a bad
+// parameter, reported as an error, not a divide-by-zero panic while
+// striping the TX ring.
+func TestServerZeroWorkersErrors(t *testing.T) {
+	e, ok := Experiments.Lookup("server")
+	if !ok {
+		t.Fatal("server not registered")
+	}
+	for _, w := range []int64{0, -1} {
+		p := e.Params(true)
+		if err := p.Set("workers", w); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Run(p); err == nil || !strings.Contains(err.Error(), "lane") {
+			t.Fatalf("workers=%d: err = %v, want a lane-count error", w, err)
+		}
+	}
+}
+
 // TestTableRenderAndJSONShape pins the rendering contract on a toy
 // table: framed title, single-space-joined formatted cells, notes, and
 // JSON that round-trips with rows matching the schema.

@@ -105,6 +105,9 @@ func serverRun(seed int64, queues, workers, ops int, periodUs float64) (ServerRo
 	if ncpu < lanes {
 		lanes = ncpu
 	}
+	if lanes < 1 {
+		return row, sim.RunResult{}, nil, fmt.Errorf("workload: server needs at least one lane, got workers=%d", workers)
+	}
 	if lanes > ringLen {
 		return row, sim.RunResult{}, nil, fmt.Errorf("workload: %d lanes cannot stripe a %d-slot TX ring", lanes, ringLen)
 	}
