@@ -135,10 +135,10 @@ func TestNICNoIRQWithoutBus(t *testing.T) {
 	}
 }
 
-// TestHostRxCapConsumesOverflow: the load-generator capture queue is
-// bounded (compaction amortized at 2×cap); overflow frames count as
-// consumed, counters keep counting, and the stored tail is the most
-// recent frames.
+// TestHostRxCapConsumesOverflow: the opt-in load-generator capture
+// queue is bounded (compaction amortized at 2×cap); overflow frames
+// count as consumed, counters keep counting, and the stored tail is the
+// most recent frames.
 func TestHostRxCapConsumesOverflow(t *testing.T) {
 	as := mm.NewAddressSpace(mm.NewPhysMem())
 	n := NewNIC(as) // no ring: host-driven side
@@ -162,5 +162,14 @@ func TestHostRxCapConsumesOverflow(t *testing.T) {
 	}
 	if got := string(frames[0]); got != fmt.Sprintf("f%02d", n.HostConsumed) {
 		t.Fatalf("oldest kept frame = %q with %d consumed", got, n.HostConsumed)
+	}
+
+	// Turning capture off counts what is still stored as consumed and
+	// stores nothing more.
+	n.Deliver([]byte("kept"))
+	n.SetHostRxCap(0)
+	n.Deliver([]byte("counted"))
+	if len(n.TakeHostFrames()) != 0 || n.HostConsumed+uint64(len(frames)) != n.RxFrames {
+		t.Fatalf("capture off: consumed %d + taken %d != rx %d", n.HostConsumed, len(frames), n.RxFrames)
 	}
 }
